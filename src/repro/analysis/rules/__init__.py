@@ -10,7 +10,6 @@ registry (see :func:`repro.analysis.framework.register_rule`):
   mutable-default-arg;
 - :mod:`plan_shape` -- RAQO007 positional-dimension-index;
 - :mod:`typing_gate` -- RAQO008 untyped-public-api;
-- :mod:`api_compat` -- RAQO009 positional-resource-axes;
 - :mod:`batching` -- RAQO010 per-candidate-costing-loop;
 - :mod:`whole_program` -- RAQO011 transitive-nondeterminism, RAQO012
   unverified-lock-guard, RAQO013 unit-mismatch, RAQO014
@@ -19,7 +18,6 @@ registry (see :func:`repro.analysis.framework.register_rule`):
 """
 
 from repro.analysis.rules import (  # noqa: F401  (registration imports)
-    api_compat,
     batching,
     comparisons,
     determinism,
@@ -30,7 +28,6 @@ from repro.analysis.rules import (  # noqa: F401  (registration imports)
 )
 
 __all__ = [
-    "api_compat",
     "batching",
     "comparisons",
     "determinism",

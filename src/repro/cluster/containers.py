@@ -9,9 +9,8 @@ extended to include other resources, such as CPU").
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.units import GBSeconds, Seconds
 
@@ -20,24 +19,7 @@ class ResourceError(Exception):
     """Raised for invalid resource configurations or requests."""
 
 
-def warn_positional_axes(type_name: str, axes: str) -> None:
-    """Emit the one-release deprecation warning for positional axes.
-
-    The two resource axes are deliberately keyword-only in the public
-    API (``num_containers=10, container_gb=4.0`` cannot be silently
-    transposed; ``(10, 4.0)`` can).  Positional calls keep working for
-    one release through the constructor shims that call this.
-    """
-    warnings.warn(
-        f"positional resource axes are deprecated; call "
-        f"{type_name}({axes}) with keywords -- positional support "
-        f"will be removed in the next release",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-@dataclass(frozen=True, order=True, init=False)
+@dataclass(frozen=True, order=True, kw_only=True)
 class ResourceConfiguration:
     """A per-operator resource plan: ``num_containers`` x ``container_gb``.
 
@@ -45,44 +27,12 @@ class ResourceConfiguration:
     Algorithm 1; :meth:`as_vector` / :meth:`from_vector` convert to and from
     the generic vector form that algorithm manipulates.
 
-    Both axes are keyword-only; positional arguments still work for one
-    release but emit a :class:`DeprecationWarning` (lint rule RAQO009
-    keeps the source tree itself keyword-clean).
+    Both axes are keyword-only: ``num_containers=10, container_gb=4.0``
+    cannot be silently transposed, ``(10, 4.0)`` could.
     """
 
     num_containers: int
     container_gb: float
-
-    def __init__(
-        self,
-        *args: float,
-        num_containers: Optional[int] = None,
-        container_gb: Optional[float] = None,
-    ) -> None:
-        if args:
-            warn_positional_axes(
-                "ResourceConfiguration",
-                "num_containers=..., container_gb=...",
-            )
-            if len(args) > 2 or (
-                num_containers is not None
-                or (len(args) == 2 and container_gb is not None)
-            ):
-                raise TypeError(
-                    "ResourceConfiguration() got conflicting or excess "
-                    "positional resource axes"
-                )
-            num_containers = int(args[0])
-            if len(args) == 2:
-                container_gb = float(args[1])
-        if num_containers is None or container_gb is None:
-            raise TypeError(
-                "ResourceConfiguration() requires num_containers= "
-                "and container_gb="
-            )
-        object.__setattr__(self, "num_containers", num_containers)
-        object.__setattr__(self, "container_gb", container_gb)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.num_containers < 1:

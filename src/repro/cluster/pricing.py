@@ -9,9 +9,15 @@ queries." Monetary cost is therefore proportional to memory x time
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TypeVar
+
+import numpy as np
 
 from repro.cluster.containers import ResourceConfiguration, ResourceError
 from repro.units import Dollars, GBSeconds, Seconds
+
+#: A scalar GB-seconds charge or a numpy array of them.
+Charge = TypeVar("Charge", float, np.ndarray)
 
 
 @dataclass(frozen=True)
@@ -38,7 +44,17 @@ class PriceModel:
             raise ResourceError(
                 f"gb_seconds must be >= 0, got {gb_seconds}"
             )
-        return Dollars(gb_seconds / 3600.0 * self.dollars_per_gb_hour)
+        return Dollars(self.price(gb_seconds))
+
+    def price(self, gb_seconds: Charge) -> Charge:
+        """``gb_seconds / 3600 * rate``, elementwise on numpy arrays.
+
+        The one place the price formula is written. It is unchecked:
+        the planners' grid kernels price whole configuration grids,
+        whose infeasible lanes hold ``inf``. Callers that price a
+        single measured charge go through :meth:`cost_of_gb_seconds`.
+        """
+        return gb_seconds / 3600.0 * self.dollars_per_gb_hour
 
     def cost(
         self, config: ResourceConfiguration, duration_s: Seconds

@@ -32,7 +32,7 @@ therefore byte-identical across worker counts and process boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,9 +74,11 @@ class PlanObjective:
         session.plan("Q3", objective=PlanObjective.cheapest())
         PlanObjective.parse("latency-bound:30")
 
-    ``fastest`` and ``weighted(w)`` scalarise exactly like the historic
-    ``money_weight`` float (``weighted(w)`` is bit-identical to the
-    deprecated ``money_weight=w``), so they add zero planning work.
+    The objective is the only input below the facade that says what a
+    plan optimises: the costers' resource search and the query
+    planners' join search both rank candidates by :meth:`scalar`
+    (``time_weight * t + money_weight * m``). ``fastest`` and
+    ``weighted(w)`` need nothing else, so they add zero planning work.
     ``cheapest``, ``latency_bounded`` and ``pareto`` additionally run
     the per-stage frontier search (:func:`compute_frontier`) over the
     chosen plan and pick a frontier point.
@@ -87,6 +89,11 @@ class PlanObjective:
     weight: float = 0.0
     #: Latency budget for ``latency_bounded``; ``inf`` otherwise.
     budget_s: float = math.inf
+    #: The scalarisation's time coefficient, derived from ``kind``.
+    #: Resolved once here because searches read it per candidate.
+    time_weight: float = field(init=False, repr=False, compare=False)
+    #: The scalarisation's money coefficient, derived from ``kind``.
+    money_weight: float = field(init=False, repr=False, compare=False)
 
     _KINDS = ("fastest", "cheapest", "weighted", "latency_bounded", "pareto")
 
@@ -110,6 +117,14 @@ class PlanObjective:
                 f"latency_bounded objective needs a finite budget > 0 s, "
                 f"got {self.budget_s!r}"
             )
+        if self.kind == "cheapest":
+            weights = (0.0, 1.0)
+        elif self.kind == "weighted":
+            weights = (1.0, self.weight)
+        else:
+            weights = (1.0, 0.0)
+        object.__setattr__(self, "time_weight", weights[0])
+        object.__setattr__(self, "money_weight", weights[1])
 
     # -- factories ---------------------------------------------------------
 
@@ -125,7 +140,7 @@ class PlanObjective:
 
     @classmethod
     def weighted(cls, weight: float) -> "PlanObjective":
-        """Minimize ``time_s + weight * money`` (legacy ``money_weight``)."""
+        """Minimize ``time_s + weight * money``."""
         return cls(kind="weighted", weight=float(weight))
 
     @classmethod
@@ -192,19 +207,22 @@ class PlanObjective:
 
     # -- planner integration -----------------------------------------------
 
-    @property
-    def time_weight(self) -> float:
-        """The search scalarisation's time coefficient."""
-        return 0.0 if self.kind == "cheapest" else 1.0
+    def scalar(self, time_s: float, money: float) -> float:
+        """The search's score of one cost: ``tw * time_s + mw * money``.
 
-    @property
-    def money_weight(self) -> float:
-        """The search scalarisation's money coefficient."""
-        if self.kind == "weighted":
-            return self.weight
-        if self.kind == "cheapest":
-            return 1.0
-        return 0.0
+        ``0 * inf`` is NaN (an infeasible cost under ``cheapest``); it
+        maps back to ``inf`` so an infeasible cost never wins.
+        """
+        value = self.time_weight * time_s + self.money_weight * money
+        return math.inf if value != value else value
+
+    def scalar_array(
+        self, times: np.ndarray, money: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`scalar` elementwise over numpy arrays."""
+        with np.errstate(invalid="ignore"):
+            value = self.time_weight * times + self.money_weight * money
+        return np.where(np.isnan(value), math.inf, value)
 
     @property
     def needs_frontier(self) -> bool:
@@ -380,7 +398,6 @@ def _stage_frontiers(
     """
     counters = context.counters
     grid = context.cluster.config_grid()
-    rate = price_model.dollars_per_gb_hour
     by_algorithm: Dict[JoinAlgorithm, List[StageRequirement]] = {}
     seen = set()
     for stage in stages:
@@ -401,7 +418,7 @@ def _stage_frontiers(
         counters.resource_iterations += grid.num_configs * len(rows)
         times = model.predict_time_grid_batch(algorithm, small, large, grid)
         times = np.where(np.isnan(times), math.inf, times)
-        money = grid.total_memory_gb * times / 3600.0 * rate
+        money = price_model.price(grid.total_memory_gb * times)
         for position, stage in enumerate(rows):
             stage_times = times[position]
             stage_money = money[position]
@@ -432,8 +449,8 @@ def _stage_frontiers(
                 kept_sizes,
                 kept_counts,
             )
-            kept_money = (
-                kept_counts * kept_sizes * kept_times / 3600.0 * rate
+            kept_money = price_model.price(
+                kept_counts * kept_sizes * kept_times
             )
             # Exact scalar tail over the admitted survivors, walked in
             # grid order so equal-cost couples resolve to the first

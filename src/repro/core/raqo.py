@@ -24,7 +24,6 @@ import dataclasses
 import enum
 import math
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
 
@@ -149,11 +148,12 @@ class QueryOptimizerCoster:
 class RaqoCoster:
     """The RAQO coster: ``getPlanCost`` extended with resource planning.
 
-    ``money_weight``/``time_weight`` scalarise the resource-planning
-    objective (``time_weight * time + money_weight * money``); the
-    default optimizes execution time as in the paper's main
-    experiments, and :class:`PlanObjective` derives both weights for
-    the planner facade (``cheapest`` plans with ``time_weight=0``).
+    ``objective`` says what the resource search minimises: each
+    configuration scores :meth:`PlanObjective.scalar` of its predicted
+    (time, money). The default, :meth:`PlanObjective.fastest`, optimizes
+    execution time as in the paper's main experiments and prices no
+    configuration; :class:`RaqoPlanner` hands its one objective to both
+    this coster and the query planner.
 
     Two fast-path layers sit in front of the resource planner:
 
@@ -175,8 +175,7 @@ class RaqoCoster:
     method: ResourcePlanningMethod = ResourcePlanningMethod.HILL_CLIMB
     cache: Optional[ResourcePlanCache] = None
     price_model: PriceModel = field(default_factory=PriceModel)
-    money_weight: float = 0.0
-    time_weight: float = 1.0
+    objective: PlanObjective = PlanObjective.fastest()
     memoize: bool = True
     vectorized: bool = True
 
@@ -195,8 +194,8 @@ class RaqoCoster:
                 self.model.model_key(algorithm),
                 small_gb,
                 large_gb,
-                self.money_weight,
-                self.time_weight,
+                self.objective.money_weight,
+                self.objective.time_weight,
             )
             memoized = context.resource_plan_memo.get(memo_key)
             if memoized is not None:
@@ -263,6 +262,8 @@ class RaqoCoster:
             threshold = self.cache.threshold_gb
         else:
             threshold = 0.0
+        money_weight = self.objective.money_weight
+        time_weight = self.objective.time_weight
 
         def commit(
             index: int, result: Tuple[Cost, Optional[ResourceConfiguration]]
@@ -298,8 +299,8 @@ class RaqoCoster:
                     model_key,
                     small_gb,
                     large_gb,
-                    self.money_weight,
-                    self.time_weight,
+                    money_weight,
+                    time_weight,
                 )
                 memoized = context.resource_plan_memo.get(memo_key)
                 if memoized is not None:
@@ -434,33 +435,17 @@ class RaqoCoster:
                 algorithm, small, large, grid
             )
             times = np.where(np.isnan(times), math.inf, times)
-            if self.money_weight:
-                # Same inlined expression as the scalar grid objective,
+            if self.objective.money_weight:
+                # Same expressions as the scalar grid objective,
                 # broadcast over the candidate axis.
-                money = (
-                    grid.total_memory_gb
-                    * times
-                    / 3600.0
-                    * self.price_model.dollars_per_gb_hour
-                )
-                if self.time_weight == 1.0:
-                    objective = times + self.money_weight * money
-                else:
-                    # 0 * inf is NaN, so the wash below matters when
-                    # time_weight vanishes (the cheapest objective).
-                    with np.errstate(invalid="ignore"):
-                        objective = (
-                            self.time_weight * times
-                            + self.money_weight * money
-                        )
-                objective = np.where(
-                    np.isnan(objective), math.inf, objective
+                scores = self.objective.scalar_array(
+                    times,
+                    self.price_model.price(grid.total_memory_gb * times),
                 )
             else:
-                # `times` is already NaN-washed; no second pass needed.
-                objective = times
+                scores = times
             # First-occurrence argmin per row = the scalar tie-break.
-            best = np.argmin(objective, axis=1)
+            best = np.argmin(scores, axis=1)
             model_key = self.model.model_key(algorithm)
             # Recompute the winners' unweighted times in one elementwise
             # call (the scalar path re-predicts after its argmin too);
@@ -476,17 +461,13 @@ class RaqoCoster:
             )
             # Same left-to-right expression as the scalar
             # `cost_of_gb_seconds(config.gb_seconds(time_s))` chain:
-            # ((nc * cs) * t) / 3600 * rate, lane for lane.
-            winner_money = (
-                winner_counts
-                * winner_sizes
-                * winner_times
-                / 3600.0
-                * self.price_model.dollars_per_gb_hour
+            # price((nc * cs) * t), lane for lane.
+            winner_money = self.price_model.price(
+                winner_counts * winner_sizes * winner_times
             )
             for position, i in enumerate(rows):
                 best_index = int(best[position])
-                best_cost = float(objective[position, best_index])
+                best_cost = float(scores[position, best_index])
                 if not math.isfinite(best_cost):
                     raise ResourcePlanningError(
                         "cluster offers no configurations"
@@ -669,6 +650,10 @@ class RaqoCoster:
         """Run brute force or Algorithm 1 for one operator."""
         cluster = context.cluster
         counters = context.counters
+        # Resolved once per operator: the closures below run once per
+        # configuration, and only a money-weighted objective prices one.
+        price_money = bool(self.objective.money_weight)
+        scalar = self.objective.scalar
 
         def objective(config: ResourceConfiguration) -> float:
             counters.resource_iterations += 1
@@ -677,16 +662,12 @@ class RaqoCoster:
             )
             if not math.isfinite(time_s):
                 return math.inf
-            if self.money_weight:
-                money = self.price_model.cost_of_gb_seconds(
-                    config.gb_seconds(time_s)
-                )
-                if self.time_weight == 1.0:
-                    return time_s + self.money_weight * money
-                # time_s is finite here, so no 0 * inf hazard.
-                return (
-                    self.time_weight * time_s
-                    + self.money_weight * money
+            if price_money:
+                return scalar(
+                    time_s,
+                    self.price_model.cost_of_gb_seconds(
+                        config.gb_seconds(time_s)
+                    ),
                 )
             return time_s
 
@@ -698,24 +679,13 @@ class RaqoCoster:
                 algorithm, small_gb, large_gb, grid
             )
             times = np.where(np.isnan(times), math.inf, times)
-            if self.money_weight:
-                # Inlined PriceModel.cost_of_gb_seconds (it rejects
-                # arrays); same expression, so bit-identical to scalar.
-                money = (
-                    grid.total_memory_gb
-                    * times
-                    / 3600.0
-                    * self.price_model.dollars_per_gb_hour
+            if price_money:
+                # Same expressions as the scalar objective, so the grid
+                # is bit-identical to a per-configuration scan.
+                return self.objective.scalar_array(
+                    times,
+                    self.price_model.price(grid.total_memory_gb * times),
                 )
-                if self.time_weight == 1.0:
-                    return times + self.money_weight * money
-                # 0 * inf is NaN; wash so infeasible stays infeasible.
-                with np.errstate(invalid="ignore"):
-                    weighted = (
-                        self.time_weight * times
-                        + self.money_weight * money
-                    )
-                return np.where(np.isnan(weighted), math.inf, weighted)
             return times
 
         start: Optional[ResourceConfiguration] = None
@@ -810,7 +780,6 @@ class RaqoPlanner:
         default_resources: ResourceConfiguration = DEFAULT_QO_RESOURCES,
         price_model: Optional[PriceModel] = None,
         objective: Optional[PlanObjective] = None,
-        money_weight: Optional[float] = None,
         randomized_iterations: int = 10,
         seed: int = 0,
         memoize_within_run: bool = True,
@@ -818,25 +787,9 @@ class RaqoPlanner:
         batched_costing: bool = True,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if money_weight is not None:
-            if objective is not None:
-                raise TypeError(
-                    "pass objective=..., not both objective= and the "
-                    "deprecated money_weight="
-                )
-            warnings.warn(
-                "money_weight= is deprecated; pass "
-                "objective=PlanObjective.weighted(w) instead "
-                "(PlanObjective.fastest() replaces money_weight=0)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            objective = PlanObjective.weighted(money_weight)
         if objective is None:
             objective = PlanObjective.fastest()
         # Everything needed to build an equivalent planner (clone()).
-        # The resolved objective is stored (never money_weight), so
-        # clones and worker processes rebuild without re-warning.
         self._init_kwargs = dict(
             cluster=cluster,
             cost_model=cost_model,
@@ -881,8 +834,7 @@ class RaqoPlanner:
                     method=resource_method,
                     cache=self.cache,
                     price_model=self.price_model,
-                    money_weight=objective.money_weight,
-                    time_weight=objective.time_weight,
+                    objective=objective,
                     memoize=memoize_within_run,
                     vectorized=vectorized_resource_planning,
                 )
@@ -897,16 +849,14 @@ class RaqoPlanner:
         if planner_kind is PlannerKind.SELINGER:
             self.query_planner = SelingerPlanner(
                 self.coster,
-                time_weight=objective.time_weight,
-                money_weight=objective.money_weight,
+                objective=objective,
                 batched=batched_costing,
             )
         else:
             self.query_planner = FastRandomizedPlanner(
                 self.coster,
                 iterations=randomized_iterations,
-                time_weight=objective.time_weight,
-                money_weight=objective.money_weight,
+                objective=objective,
                 seed=seed,
                 batched=batched_costing,
             )

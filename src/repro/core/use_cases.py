@@ -81,7 +81,7 @@ def plan_resources_for_plan(
         model=planner.cost_model,
         cache=planner.cache,
         price_model=planner.price_model,
-        money_weight=1.0,
+        objective=PlanObjective.weighted(1.0),
     )
     context = context or planner.make_context()
     annotated, cost = get_plan_cost(plan, coster, context)

@@ -18,6 +18,7 @@ import itertools
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.catalog.queries import Query
+from repro.core.pareto import PlanObjective
 from repro.planner.cost_interface import (
     Cost,
     PlanCoster,
@@ -51,17 +52,15 @@ class BushyPlanner:
     def __init__(
         self,
         coster: PlanCoster,
-        time_weight: float = 1.0,
-        money_weight: float = 0.0,
+        objective: PlanObjective = PlanObjective.fastest(),
         batched: bool = True,
     ) -> None:
         self._coster = coster
-        self._time_weight = time_weight
-        self._money_weight = money_weight
+        self._objective = objective
         self._batched = batched
 
     def _scalar(self, cost: Cost) -> float:
-        return cost.scalar(self._time_weight, self._money_weight)
+        return cost.scalar(self._objective)
 
     def plan(
         self, query: Query, context: PlanningContext

@@ -28,6 +28,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    TYPE_CHECKING,
     Tuple,
     TypeVar,
 )
@@ -41,6 +42,9 @@ from repro.cluster.cluster import ClusterConditions
 from repro.engine.joins import JoinAlgorithm
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.planner.plan import CandidateBatch, JoinNode, PlanNode
+
+if TYPE_CHECKING:  # pragma: no cover -- repro.core.pareto imports this module
+    from repro.core.pareto import PlanObjective
 
 #: The payload carried alongside a :class:`Cost` in frontier entries
 #: (a plan, a configuration tuple -- :func:`frontier` never inspects it).
@@ -61,9 +65,9 @@ class Cost:
     def __add__(self, other: "Cost") -> "Cost":
         return Cost(self.time_s + other.time_s, self.money + other.money)
 
-    def scalar(self, time_weight: float = 1.0, money_weight: float = 0.0) -> float:
-        """Weighted scalarisation of the cost vector."""
-        return time_weight * self.time_s + money_weight * self.money
+    def scalar(self, objective: PlanObjective) -> float:
+        """This cost's score under ``objective`` (lower is better)."""
+        return objective.scalar(self.time_s, self.money)
 
     def dominates(self, other: "Cost") -> bool:
         """Strict Pareto dominance: no worse in both, strictly better in one.

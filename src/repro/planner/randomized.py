@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.catalog.join_graph import JoinGraph
 from repro.catalog.queries import Query
+from repro.core.pareto import PlanObjective
 from repro.planner.cost_interface import (
     Cost,
     PlanCoster,
@@ -121,8 +122,7 @@ class FastRandomizedPlanner:
         iterations: int = 10,
         alpha: float = 0.05,
         patience: Optional[int] = None,
-        time_weight: float = 1.0,
-        money_weight: float = 0.0,
+        objective: PlanObjective = PlanObjective.fastest(),
         seed: int = 0,
         batched: bool = True,
     ) -> None:
@@ -132,13 +132,12 @@ class FastRandomizedPlanner:
         self._iterations = iterations
         self._alpha = alpha
         self._patience = patience
-        self._time_weight = time_weight
-        self._money_weight = money_weight
+        self._objective = objective
         self._seed = seed
         self._batched = batched
 
     def _scalar(self, cost: Cost) -> float:
-        return cost.scalar(self._time_weight, self._money_weight)
+        return cost.scalar(self._objective)
 
     def _cost_plan(
         self, plan: PlanNode, context: PlanningContext

@@ -185,8 +185,9 @@ class TestImportGraphAndScoping:
 
 class TestRegistryAndSelectors:
     def test_all_rules_cover_the_catalog_in_id_order(self):
+        # RAQO009 is retired; rule ids are never reused.
         assert [rule.id for rule in all_rules()] == [
-            f"RAQO{i:03d}" for i in range(1, 16)
+            f"RAQO{i:03d}" for i in (*range(1, 9), *range(10, 16))
         ]
 
     def test_resolve_by_name_slug(self):

@@ -393,107 +393,6 @@ class TestUntypedPublicApiRAQO008:
         assert findings == []
 
 
-class TestPositionalResourceAxesRAQO009:
-    def test_positional_axes_flagged(self, lint):
-        findings = lint(
-            """
-            from repro.cluster.containers import ResourceConfiguration
-
-            config = ResourceConfiguration(10, 4.0)
-            """,
-            rule="RAQO009",
-        )
-        assert _ids(findings) == ["RAQO009"]
-        assert "keyword" in findings[0].message
-
-    def test_cluster_conditions_positional_flagged(self, lint):
-        findings = lint(
-            """
-            from repro.cluster.cluster import ClusterConditions
-
-            cluster = ClusterConditions(100, 10.0)
-            """,
-            rule="RAQO009",
-        )
-        assert _ids(findings) == ["RAQO009"]
-
-    def test_attribute_qualified_call_flagged(self, lint):
-        findings = lint(
-            """
-            import repro.cluster.containers as containers
-
-            config = containers.ResourceConfiguration(10, 4.0)
-            """,
-            rule="RAQO009",
-        )
-        assert _ids(findings) == ["RAQO009"]
-
-    def test_star_args_flagged(self, lint):
-        findings = lint(
-            """
-            from repro.cluster.containers import ResourceConfiguration
-
-            axes = (10, 4.0)
-            config = ResourceConfiguration(*axes)
-            """,
-            rule="RAQO009",
-        )
-        assert _ids(findings) == ["RAQO009"]
-
-    def test_mixed_positional_and_keyword_flagged(self, lint):
-        findings = lint(
-            """
-            from repro.cluster.containers import ResourceConfiguration
-
-            config = ResourceConfiguration(10, container_gb=4.0)
-            """,
-            rule="RAQO009",
-        )
-        assert _ids(findings) == ["RAQO009"]
-
-    def test_keyword_calls_are_clean(self, lint):
-        findings = lint(
-            """
-            from repro.cluster.cluster import ClusterConditions
-            from repro.cluster.containers import ResourceConfiguration
-
-            config = ResourceConfiguration(
-                num_containers=10, container_gb=4.0
-            )
-            cluster = ClusterConditions(
-                max_containers=100, max_container_gb=10.0
-            )
-            """,
-            rule="RAQO009",
-        )
-        assert findings == []
-
-    def test_unrelated_constructors_are_ignored(self, lint):
-        findings = lint(
-            """
-            def ResourceBudget(a, b):
-                return (a, b)
-
-
-            x = ResourceBudget(1, 2.0)
-            y = dict(10, 4.0)
-            """,
-            rule="RAQO009",
-        )
-        assert findings == []
-
-    def test_pragma_suppresses(self, lint):
-        findings = lint(
-            """
-            from repro.cluster.containers import ResourceConfiguration
-
-            c = ResourceConfiguration(10, 4.0)  # lint: disable=RAQO009
-            """,
-            rule="RAQO009",
-        )
-        assert findings == []
-
-
 class TestPerCandidateCostingLoopRAQO010:
     def test_scalar_costing_loop_is_flagged(self, lint):
         findings = lint(

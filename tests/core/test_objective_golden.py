@@ -98,9 +98,7 @@ def observe(catalog, case) -> dict:
     )
     if planner_name == "bushy":
         planner.query_planner = BushyPlanner(
-            planner.coster,
-            time_weight=objective.time_weight,
-            money_weight=objective.money_weight,
+            planner.coster, objective=objective
         )
     result = planner.optimize(QUERIES[query_name])
     return {

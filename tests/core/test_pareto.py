@@ -1,7 +1,7 @@
 """Unit tests for the Pareto frontier engine and the objective API.
 
 The property suite (``tests/properties/test_pareto_properties.py``)
-pins determinism and the weighted-migration safety net; this file
+pins determinism; this file
 covers the pieces in isolation: strict dominance semantics, the shared
 ``frontier()`` reference helper, the vectorized skyline against an
 O(n^2) brute force, :func:`repro.core.pareto.compute_frontier` against
@@ -11,7 +11,6 @@ shims, and the serving-layer objective fingerprint.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -24,11 +23,16 @@ from repro.core.pareto import (
     _weak_skyline_candidates,
     compute_frontier,
 )
+from repro.api import RaqoSession
 from repro.core.raqo import (
     RaqoCoster,
     RaqoPlanner,
     ResourcePlanningMethod,
+    default_cost_model,
 )
+from repro.planner.bushy import BushyPlanner
+from repro.planner.randomized import FastRandomizedPlanner
+from repro.planner.selinger import SelingerPlanner
 from repro.planner.cost_interface import (
     Cost,
     PlanningContext,
@@ -321,61 +325,81 @@ class TestPlanObjective:
             assert PlanObjective.parse(str(objective)) == objective
 
     def test_search_weights(self):
-        assert PlanObjective.fastest().money_weight == 0.0
-        assert PlanObjective.fastest().time_weight == 1.0
-        assert PlanObjective.weighted(3.0).money_weight == 3.0
-        assert PlanObjective.cheapest().time_weight == 0.0
-        assert PlanObjective.cheapest().money_weight == 1.0
+        objectives = (
+            PlanObjective.fastest(),
+            PlanObjective.weighted(3.0),
+            PlanObjective.cheapest(),
+            PlanObjective.latency_bounded(5.0),
+            PlanObjective.pareto(),
+        )
+        assert [(o.time_weight, o.money_weight) for o in objectives] == [
+            (1.0, 0.0),
+            (1.0, 3.0),
+            (0.0, 1.0),
+            (1.0, 0.0),
+            (1.0, 0.0),
+        ]
         assert not PlanObjective.fastest().needs_frontier
         assert not PlanObjective.weighted(3.0).needs_frontier
         assert PlanObjective.cheapest().needs_frontier
         assert PlanObjective.pareto().needs_frontier
         assert PlanObjective.latency_bounded(5.0).needs_frontier
 
+    def test_scalar_maps_zero_times_inf_to_inf(self):
+        times = np.array([2.0, math.inf, 3.0])
+        money = np.array([5.0, math.inf, 0.5])
+        for objective in (
+            PlanObjective.fastest(),
+            PlanObjective.weighted(4.0),
+            PlanObjective.cheapest(),
+        ):
+            expected = [
+                objective.scalar(t, m)
+                for t, m in zip(times.tolist(), money.tolist())
+            ]
+            assert objective.scalar_array(times, money).tolist() == expected
+            assert expected[1] == math.inf
+        assert PlanObjective.weighted(4.0).scalar(2.0, 5.0) == 22.0
+        assert PlanObjective.cheapest().scalar(2.0, 5.0) == 5.0
 
-class TestDeprecationShims:
-    def test_planner_money_weight_warns(self, tpch_catalog_sf100):
-        with pytest.deprecated_call():
-            planner = RaqoPlanner(
-                tpch_catalog_sf100, money_weight=4.0
-            )
-        assert planner.objective == PlanObjective.weighted(4.0)
 
-    def test_planner_rejects_both_spellings(self, tpch_catalog_sf100):
-        with pytest.raises(TypeError):
-            RaqoPlanner(
-                tpch_catalog_sf100,
-                objective=PlanObjective.fastest(),
-                money_weight=1.0,
-            )
+class TestRemovedSpellings:
+    """Weight floats are no longer a way to say what a plan optimises."""
 
-    def test_clone_does_not_rewarn(self, tpch_catalog_sf100):
-        with pytest.deprecated_call():
-            planner = RaqoPlanner(
-                tpch_catalog_sf100, money_weight=4.0
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            clone = planner.clone()
-        assert clone.objective == PlanObjective.weighted(4.0)
-
-    def test_session_money_weight_warns(self, tpch_catalog_sf100):
-        from repro.api import RaqoSession
-
-        with pytest.deprecated_call():
-            session = RaqoSession(
-                tpch_catalog_sf100, money_weight=2.0
-            )
-        assert session.objective == PlanObjective.weighted(2.0)
-
-    def test_coster_money_weight_is_not_deprecated(
-        self, tpch_catalog_sf100
-    ):
-        from repro.core.raqo import default_cost_model
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            RaqoCoster(model=default_cost_model(), money_weight=2.0)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda catalog: RaqoPlanner(catalog, money_weight=1.0),
+            lambda catalog: RaqoSession(catalog, money_weight=1.0),
+            lambda catalog: RaqoCoster(
+                model=default_cost_model(), money_weight=2.0
+            ),
+            lambda catalog: RaqoCoster(
+                model=default_cost_model(), time_weight=0.0
+            ),
+            lambda catalog: SelingerPlanner(
+                RaqoCoster(model=default_cost_model()), money_weight=2.0
+            ),
+            lambda catalog: BushyPlanner(
+                RaqoCoster(model=default_cost_model()), time_weight=0.0
+            ),
+            lambda catalog: FastRandomizedPlanner(
+                RaqoCoster(model=default_cost_model()), money_weight=2.0
+            ),
+        ],
+        ids=[
+            "planner_money_weight",
+            "session_money_weight",
+            "coster_money_weight",
+            "coster_time_weight",
+            "selinger_money_weight",
+            "bushy_time_weight",
+            "randomized_money_weight",
+        ],
+    )
+    def test_raises_type_error(self, tpch_catalog_sf100, build):
+        with pytest.raises(TypeError, match="_weight"):
+            build(tpch_catalog_sf100)
 
 
 class TestSessionObjectives:

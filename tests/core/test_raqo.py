@@ -9,6 +9,7 @@ from repro.catalog.queries import Query
 from repro.cluster.cluster import ClusterConditions
 from repro.cluster.containers import ResourceConfiguration
 from repro.core.cost_model import SimulatorCostModel
+from repro.core.pareto import PlanObjective
 from repro.core.plan_cache import LookupMode
 from repro.core.raqo import (
     DEFAULT_CLUSTER,
@@ -316,7 +317,8 @@ class TestRaqoCoster:
                 cluster=DEFAULT_CLUSTER,
             )
             coster = RaqoCoster(
-                model=default_cost_model(), money_weight=weight
+                model=default_cost_model(),
+                objective=PlanObjective.weighted(weight),
             )
             _, resources = coster.join_cost(
                 frozenset(("orders",)),

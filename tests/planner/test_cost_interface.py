@@ -6,6 +6,7 @@ import pytest
 
 from repro.catalog.statistics import StatisticsEstimator
 from repro.cluster.cluster import ClusterConditions
+from repro.core.pareto import PlanObjective
 from repro.planner.cost_interface import (
     Cost,
     INFEASIBLE_COST,
@@ -23,10 +24,12 @@ class TestCost:
         assert total == Cost(4.0, 6.0)
 
     def test_scalar_default_is_time(self):
-        assert Cost(5.0, 100.0).scalar() == 5.0
+        assert Cost(5.0, 100.0).scalar(PlanObjective.fastest()) == 5.0
 
     def test_scalar_weighted(self):
-        assert Cost(5.0, 100.0).scalar(1.0, 0.1) == pytest.approx(15.0)
+        assert Cost(5.0, 100.0).scalar(
+            PlanObjective.weighted(0.1)
+        ) == pytest.approx(15.0)
 
     def test_dominates(self):
         assert Cost(1.0, 1.0).dominates(Cost(2.0, 1.0))

@@ -4,13 +4,9 @@ The frontier (:mod:`repro.core.pareto`) is advertised as *exact* and
 *deterministic*: every point is mutually non-dominated, the whole
 frontier is a pure function of (plan, grid, cost model) -- byte-identical
 across 1/2/8 thread workers and across a process boundary -- and the
-objective selectors reduce to brute-force reference computations.  The
-``weighted(w)`` objective is additionally the migration safety net for
-the deprecated ``money_weight=`` knob: plans, exact cost floats, and
-canonical span trees must be bit-identical between the two spellings.
+objective selectors reduce to brute-force reference computations.
 """
 
-import dataclasses
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
@@ -19,10 +15,7 @@ from repro.catalog import tpch
 from repro.cluster.cluster import ClusterConditions
 from repro.core.pareto import PlanObjective
 from repro.core.raqo import RaqoPlanner, ResourcePlanningMethod
-from repro.obs.export import canonical_span_tree_json
-from repro.obs.tracing import Tracer
 from repro.planner.cost_interface import frontier as exact_frontier
-from repro.planner.plan import plan_signature
 from repro.workloads.runner import _process_pool_context
 
 #: A mid-sized grid: large enough for multi-point frontiers on every
@@ -180,58 +173,3 @@ class TestObjectiveSelection:
             assert fastest == min(
                 frontier.points, key=lambda p: p.time_s
             )
-
-
-class TestWeightedMigrationSafetyNet:
-    """``weighted(w)`` must be bit-identical to legacy ``money_weight=w``."""
-
-    @pytest.mark.parametrize("weight", [0.0, 2.0, 50.0])
-    def test_plans_costs_and_span_trees_identical(self, catalog, weight):
-        def observe(planner):
-            result = planner.optimize(tpch.QUERY_Q3)
-            return (
-                plan_signature(result.plan),
-                result.cost.time_s.hex(),
-                result.cost.money.hex(),
-                dataclasses.asdict(result.counters),
-            )
-
-        new_tracer = Tracer(seed=0)
-        new_planner = RaqoPlanner(
-            catalog,
-            cluster=CLUSTER,
-            objective=PlanObjective.weighted(weight),
-            tracer=new_tracer,
-        )
-        with pytest.deprecated_call():
-            legacy_tracer = Tracer(seed=0)
-            legacy_planner = RaqoPlanner(
-                catalog,
-                cluster=CLUSTER,
-                money_weight=weight,
-                tracer=legacy_tracer,
-            )
-        assert observe(new_planner) == observe(legacy_planner)
-        assert canonical_span_tree_json(
-            new_tracer
-        ) == canonical_span_tree_json(legacy_tracer)
-
-    def test_session_weighted_matches_legacy_session(self, catalog):
-        from repro.api import RaqoSession
-
-        new = RaqoSession(
-            catalog,
-            cluster=CLUSTER,
-            objective=PlanObjective.weighted(8.0),
-        )
-        with pytest.deprecated_call():
-            legacy = RaqoSession(
-                catalog, cluster=CLUSTER, money_weight=8.0
-            )
-        a = new.plan("Q3")
-        b = legacy.plan("Q3")
-        assert plan_signature(a.plan) == plan_signature(b.plan)
-        assert (a.cost.time_s, a.cost.money) == (
-            b.cost.time_s,
-            b.cost.money,
-        )
