@@ -97,6 +97,13 @@ class TestPositionalAxisShim:
         with pytest.raises(TypeError, match="positional argument"):
             ResourceConfiguration(*args, **kwargs)
 
+    def test_keyword_spelling_replaces_positional(self):
+        with pytest.raises(TypeError, match="positional argument"):
+            ResourceConfiguration(10, 4.0)
+        keyword = ResourceConfiguration(num_containers=10, container_gb=4.0)
+        assert (keyword.num_containers, keyword.container_gb) == (10, 4.0)
+        assert keyword.total_memory_gb == 40.0
+
     def test_keyword_axes_do_not_warn(self, recwarn):
         ResourceConfiguration(num_containers=10, container_gb=4.0)
         deprecations = [
