@@ -663,13 +663,15 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         and len(result.frontier)
     ):
         frontier = result.frontier
+        fastest, cheapest = frontier.fastest, frontier.cheapest
+        assert fastest is not None and cheapest is not None
         print(
             f"objective: {result.objective} | frontier: "
             f"{len(frontier)} points "
-            f"({frontier.points[0].time_s:.1f} s/"
-            f"${frontier.points[0].money:.3f} fastest .. "
-            f"{frontier.points[-1].time_s:.1f} s/"
-            f"${frontier.points[-1].money:.3f} cheapest) | "
+            f"({fastest.time_s:.1f} s/"
+            f"${fastest.money:.3f} fastest .. "
+            f"{cheapest.time_s:.1f} s/"
+            f"${cheapest.money:.3f} cheapest) | "
             f"dominated pruned: {frontier.dominated_pruned}"
         )
     return 0

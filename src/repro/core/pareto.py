@@ -13,11 +13,13 @@ in the style of Lyu et al. (arXiv:2207.02026):
   search returning the full latency/dollar Pareto frontier of a chosen
   plan: every pipeline stage (one per join, executed at shuffle
   boundaries in postorder) gets its own container/memory allocation,
-  costed through the batched ``predict_time_grid_batch`` kernel, and
-  the non-dominated set over the stacked (stages x configurations)
-  space is computed with a vectorized skyline pass plus an exact scalar
-  tail that defers to the shared
-  :func:`~repro.planner.cost_interface.frontier` reference.
+  costed through the batched ``predict_time_grid_batch`` kernel.  The
+  stage frontiers are combined by a columnar Minkowski fold: the
+  accumulated frontier is three arrays (times, money, per-stage grid
+  indexes), and each fold keeps its candidates' exact non-dominated
+  set with one vectorized strict skyline that computes what the shared
+  :func:`~repro.planner.cost_interface.frontier` reference computes.
+  No per-point object is built until a caller asks for one.
 
 Determinism contract: frontier points are a pure function of the plan,
 the cluster grid, and the cost model -- candidate enumeration follows
@@ -31,22 +33,19 @@ therefore byte-identical across worker counts and process boundaries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster.cluster import ClusterConditions
 from repro.cluster.containers import ResourceConfiguration
 from repro.cluster.pricing import PriceModel
 from repro.core.cost_model import JoinCostEstimator
 from repro.engine.joins import JoinAlgorithm
-from repro.planner.cost_interface import (
-    Cost,
-    PlanningContext,
-    PlanningResult,
-    frontier as exact_frontier,
-)
+from repro.planner.cost_interface import Cost, PlanningContext, PlanningResult
 from repro.planner.plan import PlanNode
 
 __all__ = [
@@ -234,21 +233,26 @@ class PlanObjective:
     ) -> Optional["ParetoPoint"]:
         """Pick this objective's point from a computed frontier.
 
-        The frontier is sorted by ascending time (strictly descending
-        money), so the fastest point is first and the cheapest last.
+        The frontier is sorted by strictly ascending time (strictly
+        descending money), so the fastest point is first and the
+        cheapest last; only the selected point is materialised.
         Returns ``None`` on an empty frontier.
         """
-        points = resource_frontier.points
-        if not points:
+        size = len(resource_frontier)
+        if not size:
             return None
         if self.kind == "cheapest":
-            return points[-1]
+            return resource_frontier.point(size - 1)
         if self.kind == "latency_bounded":
-            within = [p for p in points if p.time_s <= self.budget_s]
             # The cheapest point meeting the budget is the *last* one
             # within it; an unattainable budget degrades to fastest.
-            return within[-1] if within else points[0]
-        return points[0]
+            within = int(
+                np.searchsorted(
+                    resource_frontier.times, self.budget_s, side="right"
+                )
+            )
+            return resource_frontier.point(max(within - 1, 0))
+        return resource_frontier.point(0)
 
 
 @dataclass(frozen=True)
@@ -284,46 +288,133 @@ class ParetoPoint:
         return Cost(time_s=self.time_s, money=self.money)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResourceFrontier:
     """The exact latency/dollar Pareto frontier of one plan.
 
-    ``points`` is sorted by ascending ``time_s`` (strictly descending
-    ``money``); every pair of points is mutually non-dominated.
-    ``dominated_pruned`` counts the candidate (stage x configuration)
-    points the skyline passes discarded on the way.
+    The frontier is columnar: point ``i`` takes ``times[i]`` seconds and
+    costs ``money[i]`` dollars, with stage ``j`` (join postorder) running
+    on ``cluster``'s grid configuration ``config_indexes[i, j]``.  Points
+    are sorted by strictly ascending time (strictly descending money);
+    every pair is mutually non-dominated.  ``dominated_pruned`` counts
+    the candidate (stage x configuration) points the skyline passes
+    discarded on the way.
+
+    :meth:`point` (and :attr:`fastest`/:attr:`cheapest`) build one
+    :class:`ParetoPoint` on demand; :attr:`points` builds all of them
+    once, when first read.  The frontier is a value: ``==`` and
+    ``hash`` look at the arrays, ``dominated_pruned``, ``stages`` and
+    ``cluster``, never at the cached points.
     """
 
-    points: Tuple[ParetoPoint, ...]
+    times: np.ndarray
+    money: np.ndarray
+    config_indexes: np.ndarray
     dominated_pruned: int
     stages: Tuple[StageRequirement, ...]
+    cluster: ClusterConditions
+
+    def __post_init__(self) -> None:
+        self._freeze()
+
+    def _freeze(self) -> None:
+        for array in (self.times, self.money, self.config_indexes):
+            array.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return int(self.times.shape[0])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResourceFrontier):
+            return NotImplemented
+        return (
+            self.dominated_pruned == other.dominated_pruned
+            and self.stages == other.stages
+            and self.cluster == other.cluster
+            and np.array_equal(self.times, other.times)
+            and np.array_equal(self.money, other.money)
+            and np.array_equal(self.config_indexes, other.config_indexes)
+        )
+
+    def __hash__(self) -> int:
+        # Endpoints stand in for the arrays: equal frontiers share them.
+        return hash(
+            (
+                len(self),
+                self.dominated_pruned,
+                self.stages,
+                self.cluster,
+                tuple(self.times[:1].tolist()),
+                tuple(self.money[-1:].tolist()),
+            )
+        )
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("points", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._freeze()
+
+    def point(self, index: int) -> ParetoPoint:
+        """Materialise point ``index`` (a negative index counts back)."""
+        grid = self.cluster.config_grid()
+        return ParetoPoint(
+            time_s=float(self.times[index]),
+            money=float(self.money[index]),
+            configs=tuple(
+                grid.config_at(int(j)) for j in self.config_indexes[index]
+            ),
+        )
+
+    @functools.cached_property
+    def points(self) -> Tuple[ParetoPoint, ...]:
+        """Every point, fastest first; built once, on first access."""
+        grid = self.cluster.config_grid()
+        #: Winning configurations cluster on few grid points; build
+        #: each configuration once.
+        configs = {
+            j: grid.config_at(j)
+            for j in np.unique(self.config_indexes).tolist()
+        }
+        return tuple(
+            ParetoPoint(
+                time_s=time_s,
+                money=money,
+                configs=tuple(map(configs.__getitem__, row)),
+            )
+            for time_s, money, row in zip(
+                self.times.tolist(),
+                self.money.tolist(),
+                self.config_indexes.tolist(),
+            )
+        )
 
     @property
     def fastest(self) -> Optional[ParetoPoint]:
         """The minimum-latency point (None on an empty frontier)."""
-        return self.points[0] if self.points else None
+        return self.point(0) if len(self) else None
 
     @property
     def cheapest(self) -> Optional[ParetoPoint]:
         """The minimum-dollar point (None on an empty frontier)."""
-        return self.points[-1] if self.points else None
+        return self.point(-1) if len(self) else None
 
     @property
     def time_span(self) -> float:
         """Latency spread between the fastest and cheapest points."""
-        if not self.points:
+        if not len(self):
             return 0.0
-        return self.points[-1].time_s - self.points[0].time_s
+        return float(self.times[-1]) - float(self.times[0])
 
     @property
     def money_span(self) -> float:
         """Dollar spread between the fastest and cheapest points."""
-        if not self.points:
+        if not len(self):
             return 0.0
-        return self.points[0].money - self.points[-1].money
+        return float(self.money[0]) - float(self.money[-1])
 
 
 @dataclass(frozen=True)
@@ -352,11 +443,10 @@ def _weak_skyline_candidates(
     *strictly* above the running minimum of all earlier-sorted points:
     those are dominated outright by a strictly cheaper, no-slower
     point.  Tie candidates (equal money at the running minimum, or
-    equal (time, money) duplicates) are deliberately *kept*: they are
-    coupled through the first-occurrence discipline and are resolved by
-    the exact scalar tail, which defers to the shared
-    :func:`~repro.planner.cost_interface.frontier` reference.
-    Returned indexes are in sorted (time, money, candidate) order.
+    equal (time, money) duplicates) are deliberately *kept*; the
+    per-stage search re-predicts the survivors and resolves them with
+    :func:`_strict_skyline`.  Returned indexes are in sorted
+    (time, money, candidate) order.
     """
     order = np.lexsort((money, times))
     money_sorted = money[order]
@@ -365,6 +455,39 @@ def _weak_skyline_candidates(
     running = np.minimum.accumulate(money_sorted)
     keep[1:] = money_sorted[1:] <= running[:-1]
     return order[keep]
+
+
+def _strict_skyline(times: np.ndarray, money: np.ndarray) -> np.ndarray:
+    """Indexes of the exact Pareto frontier of finite (time, money) pairs.
+
+    The vectorized form of :func:`~repro.planner.cost_interface.frontier`,
+    which sorts by (time, money, input order) and keeps each strict
+    money improvement: a point is kept iff it is the first candidate
+    holding its equal-time group's minimum money and that minimum is
+    strictly below every earlier group's.  A stable sort on time alone
+    keeps input order within each group.  Walking that order, the
+    candidates strictly cheaper than everything before them form, within
+    a group, a strictly falling run whose last member is the group's
+    first minimum; it is kept, the rest of the run is not.  Returns the
+    kept input indexes in ascending time order.
+    """
+    order = np.argsort(times, kind="stable")
+    sorted_money = money[order]
+    improves = np.empty(order.shape[0], dtype=bool)
+    improves[:1] = True
+    np.less(
+        sorted_money[1:],
+        np.minimum.accumulate(sorted_money)[:-1],
+        out=improves[1:],
+    )
+    improving = order[improves]
+    improving_times = times[improving]
+    last_of_group = np.empty(improving.shape[0], dtype=bool)
+    last_of_group[-1:] = True
+    np.not_equal(
+        improving_times[1:], improving_times[:-1], out=last_of_group[:-1]
+    )
+    return improving[last_of_group]
 
 
 def _stage_key(
@@ -378,21 +501,25 @@ def _stage_key(
     )
 
 
+#: One stage's exact frontier: ``(times, money, config_indexes)``.
+StageFrontier = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def _stage_frontiers(
     stages: Sequence[StageRequirement],
     model: JoinCostEstimator,
     price_model: PriceModel,
     context: PlanningContext,
-) -> Tuple[Dict[Tuple, Tuple[np.ndarray, np.ndarray, List[int]]], int]:
+) -> Tuple[Dict[Tuple, StageFrontier], int]:
     """Exact per-stage frontiers for every *distinct* stage.
 
     Distinct stages (the ``cost_batch`` memo key: model key + input
     sizes) are grouped by algorithm and costed through one stacked
     ``predict_time_grid_batch`` call per algorithm -- the PR-5 numpy
-    path.  Kept candidates are re-predicted through
-    ``predict_time_rows`` so the frontier's times are bit-identical to
-    scalar ``predict_time`` calls, then resolved exactly by the shared
-    scalar :func:`~repro.planner.cost_interface.frontier` tail.
+    path.  The weak skyline pass admits candidates, which are
+    re-predicted through ``predict_time_rows`` so the frontier's times
+    are bit-identical to scalar ``predict_time`` calls, then resolved
+    exactly by :func:`_strict_skyline` in grid order.
 
     Returns ``(stage_key -> (times, money, config_indexes), pruned)``.
     """
@@ -407,7 +534,7 @@ def _stage_frontiers(
         seen.add(key)
         by_algorithm.setdefault(stage.algorithm, []).append(stage)
 
-    frontiers: Dict[Tuple, Tuple[np.ndarray, np.ndarray, List[int]]] = {}
+    frontiers: Dict[Tuple, StageFrontier] = {}
     pruned = 0
     for algorithm, rows in by_algorithm.items():
         small = np.asarray([s.small_gb for s in rows])
@@ -427,14 +554,18 @@ def _stage_frontiers(
                 frontiers[_stage_key(model, stage)] = (
                     np.empty(0),
                     np.empty(0),
-                    [],
+                    np.empty(0, dtype=np.intp),
                 )
                 continue
-            admitted = feasible[
-                _weak_skyline_candidates(
-                    stage_times[feasible], stage_money[feasible]
-                )
-            ]
+            # Admitted candidates in grid order, so equal-cost couples
+            # resolve to the first configuration a scalar scan sees.
+            admitted = np.sort(
+                feasible[
+                    _weak_skyline_candidates(
+                        stage_times[feasible], stage_money[feasible]
+                    )
+                ]
+            )
             # Re-predict the admitted candidates lane-for-lane (the
             # kernel's winner-recompute discipline): reported times are
             # then bit-identical to scalar predict_time, and the money
@@ -452,26 +583,12 @@ def _stage_frontiers(
             kept_money = price_model.price(
                 kept_counts * kept_sizes * kept_times
             )
-            # Exact scalar tail over the admitted survivors, walked in
-            # grid order so equal-cost couples resolve to the first
-            # configuration the scalar scan would have seen.
-            grid_order = np.argsort(admitted, kind="stable")
-            entries = [
-                (
-                    int(admitted[i]),
-                    Cost(
-                        time_s=float(kept_times[i]),
-                        money=float(kept_money[i]),
-                    ),
-                )
-                for i in grid_order
-            ]
-            kept = exact_frontier(entries)
-            pruned += int(feasible.size) - len(kept)
+            kept = _strict_skyline(kept_times, kept_money)
+            pruned += int(feasible.size) - kept.shape[0]
             frontiers[_stage_key(model, stage)] = (
-                np.asarray([cost.time_s for _, cost in kept]),
-                np.asarray([cost.money for _, cost in kept]),
-                [index for index, _ in kept],
+                kept_times[kept],
+                kept_money[kept],
+                admitted[kept],
             )
     return frontiers, pruned
 
@@ -485,15 +602,18 @@ def compute_frontier(
     """The exact latency/dollar Pareto frontier of ``plan``.
 
     Stage frontiers (one stage per join, postorder) are combined with a
-    Minkowski fold: both objectives are additive across sequentially
-    executed stages, so each fold sums an accumulated frontier with the
-    next stage's and re-runs the skyline (vectorized weak pass + exact
-    scalar tail).  Candidate order within a fold is accumulated-point
-    major, stage-configuration minor -- deterministic and
-    worker-count-independent.  The fold's left-to-right additions use
-    the same order as ``get_plan_cost``'s postorder summation, so a
-    frontier point whose per-stage configurations match the search's
-    choices reproduces the searched plan cost bit for bit.
+    columnar Minkowski fold: both objectives are additive across
+    sequentially executed stages, so each fold sums an accumulated
+    frontier with the next stage's and keeps the sums'
+    :func:`_strict_skyline`.  Candidate order within a fold is
+    accumulated-point major, stage-configuration minor -- deterministic
+    and worker-count-independent -- and each kept candidate carries its
+    configurations by back-pointer: row ``k // width`` of the
+    accumulated indexes plus the stage's index ``k % width``.  The
+    fold's left-to-right additions use the same order as
+    ``get_plan_cost``'s postorder summation, so a frontier point whose
+    per-stage configurations match the search's choices reproduces the
+    searched plan cost bit for bit.
 
     An infeasible stage (no feasible configuration at all) yields an
     empty frontier; a plan with no joins yields the single zero-cost
@@ -514,83 +634,63 @@ def compute_frontier(
     )
     counters = context.counters
     if not stages:
-        frontier = ResourceFrontier(
-            points=(ParetoPoint(time_s=0.0, money=0.0, configs=()),),
+        counters.frontier_points += 1
+        return ResourceFrontier(
+            times=np.zeros(1),
+            money=np.zeros(1),
+            config_indexes=np.empty((1, 0), dtype=np.intp),
             dominated_pruned=0,
             stages=(),
+            cluster=context.cluster,
         )
-        counters.frontier_points += 1
-        return frontier
 
     stage_frontiers, pruned = _stage_frontiers(
         stages, model, price_model, context
     )
-    grid = context.cluster.config_grid()
-    #: Winning configurations cluster on few grid points (same
-    #: observation as the batched kernel); materialise each once.
-    config_cache: Dict[int, ResourceConfiguration] = {}
-
-    def config_at(index: int) -> ResourceConfiguration:
-        config = config_cache.get(index)
-        if config is None:
-            config = grid.config_at(index)
-            config_cache[index] = config
-        return config
-
     acc_times: Optional[np.ndarray] = None
-    acc_money: Optional[np.ndarray] = None
-    acc_configs: List[Tuple[int, ...]] = []
+    acc_money = np.empty(0)
+    acc_configs = np.empty((0, 0), dtype=np.intp)
     for stage in stages:
         s_times, s_money, s_configs = stage_frontiers[
             _stage_key(model, stage)
         ]
-        if len(s_configs) == 0:
+        if s_configs.shape[0] == 0:
             return ResourceFrontier(
-                points=(), dominated_pruned=pruned, stages=stages
+                times=np.empty(0),
+                money=np.empty(0),
+                config_indexes=np.empty((0, len(stages)), dtype=np.intp),
+                dominated_pruned=pruned,
+                stages=stages,
+                cluster=context.cluster,
             )
         if acc_times is None:
             acc_times = s_times
             acc_money = s_money
-            acc_configs = [(index,) for index in s_configs]
+            acc_configs = s_configs[:, None]
             continue
         # Minkowski sum of the accumulated frontier and this stage's;
         # flattened C-order = accumulated-point major, so candidate
         # order (and therefore every tie-break) is deterministic.
         cand_times = (acc_times[:, None] + s_times[None, :]).ravel()
         cand_money = (acc_money[:, None] + s_money[None, :]).ravel()
-        admitted = _weak_skyline_candidates(cand_times, cand_money)
-        admitted = np.sort(admitted)  # back to candidate order
-        width = len(s_configs)
-        entries = [
-            (
-                int(flat),
-                Cost(
-                    time_s=float(cand_times[flat]),
-                    money=float(cand_money[flat]),
-                ),
-            )
-            for flat in admitted
-        ]
-        kept = exact_frontier(entries)
-        pruned += cand_times.shape[0] - len(kept)
-        acc_times = np.asarray([cost.time_s for _, cost in kept])
-        acc_money = np.asarray([cost.money for _, cost in kept])
-        acc_configs = [
-            acc_configs[flat // width] + (s_configs[flat % width],)
-            for flat, _ in kept
-        ]
-
-    assert acc_times is not None and acc_money is not None
-    points = tuple(
-        ParetoPoint(
-            time_s=float(acc_times[i]),
-            money=float(acc_money[i]),
-            configs=tuple(config_at(index) for index in acc_configs[i]),
+        kept = _strict_skyline(cand_times, cand_money)
+        pruned += cand_times.shape[0] - kept.shape[0]
+        width = s_configs.shape[0]
+        acc_times = cand_times[kept]
+        acc_money = cand_money[kept]
+        acc_configs = np.concatenate(
+            [acc_configs[kept // width], s_configs[kept % width][:, None]],
+            axis=1,
         )
-        for i in range(acc_times.shape[0])
-    )
+
+    assert acc_times is not None
     counters.dominated_pruned += pruned
-    counters.frontier_points += len(points)
+    counters.frontier_points += acc_times.shape[0]
     return ResourceFrontier(
-        points=points, dominated_pruned=pruned, stages=stages
+        times=acc_times,
+        money=acc_money,
+        config_indexes=acc_configs,
+        dominated_pruned=pruned,
+        stages=stages,
+        cluster=context.cluster,
     )

@@ -111,9 +111,9 @@ def run(
             result = session.plan(query)
             assert isinstance(result, ParetoPlanningResult)
             frontier = result.frontier
-            assert frontier is not None and frontier.points
-            fastest = frontier.points[0]
-            cheapest = frontier.points[-1]
+            assert frontier is not None
+            fastest, cheapest = frontier.fastest, frontier.cheapest
+            assert fastest is not None and cheapest is not None
             points.append(
                 FrontierPoint(
                     query=query.name,

@@ -107,11 +107,10 @@ def frontier(
     deterministic and duplicate-free regardless of how candidates were
     enumerated.
 
-    This is the single reference implementation both Pareto consumers
-    defer to: the randomized planner's
-    :meth:`~repro.planner.randomized.ParetoFrontier.entries` and the
-    scalar tail of the vectorized skyline pass in
-    :mod:`repro.core.pareto`, so the two cannot drift.
+    This is the reference implementation: the randomized planner's
+    :meth:`~repro.planner.randomized.ParetoFrontier.entries` defers to
+    it, and it is the test oracle of the vectorized strict skyline in
+    :mod:`repro.core.pareto`, which keeps exactly the same entries.
     """
     ordered = sorted(
         (cost.time_s, cost.money, index)
